@@ -113,7 +113,7 @@ func BenchmarkTable3Platforms(b *testing.B) {
 
 func BenchmarkFig3FFmpeg(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f, err := experiments.RunFig3(benchCfg(uint64(i)))
+		f, err := experiments.RunFigure(3, benchCfg(uint64(i)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func BenchmarkFig3FFmpeg(b *testing.B) {
 
 func BenchmarkFig4MPI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f, err := experiments.RunFig4(benchCfg(uint64(i)))
+		f, err := experiments.RunFigure(4, benchCfg(uint64(i)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func BenchmarkFig4MPI(b *testing.B) {
 
 func BenchmarkFig5WordPress(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f, err := experiments.RunFig5(benchCfg(uint64(i)))
+		f, err := experiments.RunFigure(5, benchCfg(uint64(i)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func BenchmarkFig5WordPress(b *testing.B) {
 
 func BenchmarkFig6Cassandra(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f, err := experiments.RunFig6(benchCfg(uint64(i)))
+		f, err := experiments.RunFigure(6, benchCfg(uint64(i)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -153,7 +153,7 @@ func BenchmarkFig6Cassandra(b *testing.B) {
 
 func BenchmarkFig7CHR(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f, err := experiments.RunFig7(benchCfg(uint64(i)))
+		f, err := experiments.RunFigure(7, benchCfg(uint64(i)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -168,7 +168,7 @@ func BenchmarkFig7CHR(b *testing.B) {
 
 func BenchmarkFig8Multitask(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f, err := experiments.RunFig8(benchCfg(uint64(i)))
+		f, err := experiments.RunFigure(8, benchCfg(uint64(i)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func BenchmarkFig8Multitask(b *testing.B) {
 // across all platforms.
 func BenchmarkFigNetMicroservice(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f, err := experiments.RunFigNet(benchCfg(uint64(i)))
+		f, err := experiments.RunRegistered("net", benchCfg(uint64(i)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -213,7 +213,7 @@ func BenchmarkCHRSweep(b *testing.B) {
 func ablationFig7Gap(b *testing.B, mutate func(*machine.Config)) {
 	cfg := benchCfg(1)
 	cfg.MutateHost = mutate
-	f, err := experiments.RunFig7(cfg)
+	f, err := experiments.RunFigure(7, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func BenchmarkAblationIRQAffinity(b *testing.B) {
 			c.IRQ.SameSocketCost = 0
 			c.IRQ.CrossSocketCost = 0
 		}
-		f, err := experiments.RunFig6(cfg)
+		f, err := experiments.RunFigure(6, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -270,7 +270,7 @@ func BenchmarkAblationVMFastpath(b *testing.B) {
 		hv.GuestMsgSyncCost = 64 * sim.Microsecond // vs the 10µs fast path
 		hv.GuestLineScale = 8
 		cfg.HV = &hv
-		f, err := experiments.RunFig4(cfg)
+		f, err := experiments.RunFigure(4, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -286,7 +286,7 @@ func BenchmarkAblationChurnWS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchCfg(uint64(i))
 		cfg.MutateHost = func(c *machine.Config) { c.CG.ChurnScaleOverride = 1 }
-		f, err := experiments.RunFig6(cfg)
+		f, err := experiments.RunFigure(6, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -305,7 +305,7 @@ func BenchmarkAblationWakePlacement(b *testing.B) {
 			c.Cache.SameSocketPenalty = 0
 			c.Cache.CrossSocketPenalty = 0
 		}
-		f, err := experiments.RunFig3(cfg)
+		f, err := experiments.RunFigure(3, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

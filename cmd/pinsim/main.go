@@ -68,7 +68,7 @@ func main() {
 		breakdown = flag.Bool("breakdown", false, "also emit the overhead attribution")
 		fitmodel  = flag.Bool("model", false, "fit and print the §VI analytic overhead model (from figs 3-6)")
 		profile   = flag.Bool("profile", false, "profile one deployment with the BCC-analog instruments")
-		app       = flag.String("app", "ffmpeg", "profiled app: ffmpeg, mpi, wordpress, cassandra")
+		app       = flag.String("app", "ffmpeg", "profiled app: a workload driver or alias (ffmpeg, mpi, wordpress, cassandra, microservice, ...)")
 		plat      = flag.String("platform", "cn", "profiled platform: bm, vm, cn, vmcn")
 		mode      = flag.String("mode", "vanilla", "profiled mode: vanilla, pinned")
 		size      = flag.String("size", "xLarge", "profiled instance type (Table II name)")

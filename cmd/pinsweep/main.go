@@ -40,6 +40,7 @@ import (
 	"repro/internal/profiling"
 	"repro/internal/storecli"
 	"repro/internal/topology"
+	"repro/internal/workload"
 )
 
 // stopProfiles finishes any active pprof captures; fatalf routes through it
@@ -51,7 +52,7 @@ func main() {
 		platforms = flag.String("platforms", "", "comma list of platforms: bm,vm,cn,vmcn (default: all)")
 		modes     = flag.String("modes", "", "comma list of provisioning modes: vanilla,pinned (default: both)")
 		cores     = flag.String("cores", "", "comma list of instance sizes in cores (default: Table II sizes)")
-		workloads = flag.String("workloads", "ffmpeg", "comma list of workloads: "+strings.Join(experiments.WorkloadNames, ","))
+		workloads = flag.String("workloads", "ffmpeg", "comma list of workload drivers (or their aliases): "+strings.Join(workload.DriverNames(), ","))
 		mem       = flag.String("mem", "", "comma list of instance memory sizes in GB (0 = 4 GB/core)")
 		reps      = flag.Int("reps", 0, "repetitions per cell (0 = 3, or 2 with -quick)")
 		seed      = flag.Uint64("seed", 42, "random seed")

@@ -4,10 +4,10 @@ package experiments
 // reduces to a grid of independent trials addressed by index; an Executor
 // decides which of those indices run here and on how many goroutines,
 // while result placement stays index-addressed — so the assembled output
-// is bit-identical no matter which executor ran it. Serial is the legacy
-// single-goroutine loop, Pool the atomic-claim worker fan-out, and Shard a
-// deterministic partition of the grid for running one experiment across N
-// machines whose durable stores are merged afterwards.
+// is bit-identical no matter which executor ran it. Pool is the
+// atomic-claim worker fan-out (on the calling goroutine at one worker), and
+// Shard a deterministic partition of the grid for running one experiment
+// across N machines whose durable stores are merged afterwards.
 
 import (
 	"fmt"
@@ -33,25 +33,6 @@ type Executor interface {
 	// number of trials this executor will run, and implementations
 	// serialize the calls.
 	Execute(n int, run func(tc *TrialContext, i int) error, progress func(done, total int)) error
-}
-
-// Serial runs every trial in index order on the calling goroutine — the
-// legacy path, kept for A/B comparison and for callers whose MutateHost
-// hooks are not concurrency-safe.
-type Serial struct{}
-
-// Execute implements Executor.
-func (Serial) Execute(n int, run func(tc *TrialContext, i int) error, progress func(done, total int)) error {
-	tc := new(TrialContext)
-	for i := 0; i < n; i++ {
-		if err := run(tc, i); err != nil {
-			return err
-		}
-		if progress != nil {
-			progress(i+1, n)
-		}
-	}
-	return nil
 }
 
 // TrialPanic records one trial whose run panicked twice (the initial run
@@ -111,11 +92,10 @@ func containTrial(run func(tc *TrialContext, i int) error, tc *TrialContext, i i
 
 // Pool fans trials out across a goroutine pool; workers claim indices from
 // a shared atomic counter. Workers 0 means GOMAXPROCS; 1 (or negative)
-// runs the claims on the calling goroutine — still with Pool's panic
-// containment, unlike the bare legacy Serial.
+// runs the claims in index order on the calling goroutine.
 //
-// Unlike Serial, Pool contains trial panics: a panicking trial is retried
-// once, and trials that panic twice are reported together at the end (as a
+// Pool contains trial panics: a panicking trial is retried once, and
+// trials that panic twice are reported together at the end (as a
 // *TrialPanicsError) after every other trial has run — one poisoned
 // configuration costs its own figure cell, not a 100k-trial sweep.
 type Pool struct {
@@ -202,7 +182,7 @@ func (p Pool) Execute(n int, run func(tc *TrialContext, i int) error, progress f
 		}
 	}
 	if workers == 1 {
-		// No goroutines at all — the legacy serial shape, but contained.
+		// No goroutines at all: the serial loop, with panic containment.
 		worker()
 	} else {
 		for w := 0; w < workers; w++ {

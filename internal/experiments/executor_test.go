@@ -42,7 +42,7 @@ func TestShardPartitionCoversEveryIndexOnce(t *testing.T) {
 func TestShardProgressTotalIsSubsetSize(t *testing.T) {
 	const n = 10
 	var last, total int
-	err := Shard{Index: 1, Count: 3, Inner: Serial{}}.Execute(n, func(tc *TrialContext, i int) error { return nil },
+	err := Shard{Index: 1, Count: 3, Inner: Pool{Workers: 1}}.Execute(n, func(tc *TrialContext, i int) error { return nil },
 		func(done, tot int) { last, total = done, tot })
 	if err != nil {
 		t.Fatal(err)
@@ -235,22 +235,6 @@ func TestPoolErrorOutranksPanicReport(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the trial error, not the panic report", err)
 	}
-}
-
-// TestSerialStaysRaw: the legacy Serial executor still propagates panics —
-// it is the A/B baseline, not a containment layer.
-func TestSerialStaysRaw(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Serial must not contain trial panics")
-		}
-	}()
-	Serial{}.Execute(3, func(tc *TrialContext, i int) error {
-		if i == 1 {
-			panic("raw")
-		}
-		return nil
-	}, nil)
 }
 
 // TestFigureSurvivesTransientTrialPanic is the end-to-end containment

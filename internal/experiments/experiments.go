@@ -138,13 +138,13 @@ type Config struct {
 	// Workers is the trial fan-out: every figure and sweep is a grid of
 	// independent (series, cell, repetition) trials whose seeds are derived
 	// up front, so trials run on a pool of this many goroutines with
-	// bit-identical output to a serial run. 0 means GOMAXPROCS; 1 keeps the
-	// legacy serial path (no goroutines) for A/B comparison. Ignored when
+	// bit-identical output to a serial run. 0 means GOMAXPROCS; 1 runs every
+	// trial on the calling goroutine (no goroutines). Ignored when
 	// Executor is set — wire the worker count into the executor instead
 	// (e.g. Shard{Inner: Pool{Workers: n}}).
 	Workers int
 	// Executor overrides the trial-execution strategy (nil = Pool{Workers}):
-	// Serial, Pool, or Shard for running a deterministic partition of every
+	// Pool, or Shard for running a deterministic partition of every
 	// trial grid on one of N machines (see executor.go).
 	Executor Executor
 	// Memo, when non-nil, stores per-trial results keyed by a versioned
@@ -234,21 +234,22 @@ func seedFor(base uint64, parts ...uint64) uint64 {
 
 // runStack deploys a stack on host — through the worker's reuse arena when
 // one is threaded in — spawns each tenant's workload and runs the machine
-// to completion, returning the workload metric in seconds (the mean across
-// tenants for multi-tenant stacks) and the machine's overhead breakdown.
-func runStack(tc *TrialContext, cfg Config, host *topology.Topology, stack platform.Stack, size int, ws []workload.Workload, memGB int, seed uint64) (float64, sched.Breakdown, error) {
+// to completion. It returns the workload metric in seconds (the mean across
+// tenants for multi-tenant stacks) with the machine's overhead breakdown,
+// and the machine itself for callers that inspect it after the run.
+func runStack(tc *TrialContext, cfg Config, host *topology.Topology, stack platform.Stack, size int, ws []workload.Workload, memGB int, seed uint64) (TrialResult, *machine.Machine, error) {
 	d, err := tc.deploy(cfg, host, stack, size, seed)
 	if err != nil {
-		return 0, sched.Breakdown{}, err
+		return TrialResult{}, nil, err
 	}
 	// ws is either one shared workload for every tenant, or exactly one per
 	// tenant slot; RunScenario pads per-tenant lists to the tenant count,
 	// and this boundary enforces the invariant rather than trusting it.
 	if len(ws) == 0 {
-		return 0, sched.Breakdown{}, fmt.Errorf("experiments: trial has no workloads")
+		return TrialResult{}, nil, fmt.Errorf("experiments: trial has no workloads")
 	}
 	if len(ws) > 1 && len(ws) != len(d.Tenants) {
-		return 0, sched.Breakdown{}, fmt.Errorf("experiments: %d workloads for %d tenant slot(s)",
+		return TrialResult{}, nil, fmt.Errorf("experiments: %d workloads for %d tenant slot(s)",
 			len(ws), len(d.Tenants))
 	}
 	// The context's buffer keeps the per-trial instance list allocation-free
@@ -267,13 +268,13 @@ func runStack(tc *TrialContext, cfg Config, host *topology.Topology, stack platf
 	}
 	res := d.M.Run(cfg.TimeLimit)
 	if res.TimedOut {
-		return cfg.TimeLimit.Seconds(), res.Breakdown, nil
+		return TrialResult{Metric: cfg.TimeLimit.Seconds(), Breakdown: res.Breakdown}, d.M, nil
 	}
 	var sum float64
 	for _, inst := range insts {
 		sum += inst.Metric(res)
 	}
-	return sum / float64(len(insts)), res.Breakdown, nil
+	return TrialResult{Metric: sum / float64(len(insts)), Breakdown: res.Breakdown}, d.M, nil
 }
 
 // computeRatios fills per-cell overhead ratios against the BM series and

@@ -1,10 +1,10 @@
 package experiments
 
 // The paper's figures are data, not code: each is a Scenario registered in
-// builtin.go and executed by the generic scenario engine (scenario.go).
-// The RunFigN functions remain as thin registry dispatches for library
-// callers and the historical tests; there is no per-figure execution logic
-// left here.
+// builtin.go and executed by the generic scenario engine (scenario.go);
+// RunFigure is the by-number dispatch into that registry. This file holds
+// the analyses built on figure-shaped trials: the §IV-A CHR sweep and the
+// §IV PTO/PSO decomposition.
 
 import (
 	"fmt"
@@ -14,45 +14,26 @@ import (
 	"repro/internal/workload"
 )
 
-// transcodeFor scales the FFmpeg workload for quick runs.
-func transcodeFor(cfg Config, segments int) workload.Transcode {
-	w := workload.DefaultTranscode()
-	w.Segments = segments
-	if cfg.Quick {
-		w.TotalWork /= 8
-		w.PerProcessOverhead /= 8
-	}
-	return w
-}
-
-// RunFig3 reproduces Fig 3 (see the "fig3" scenario registration).
-func RunFig3(cfg Config) (Figure, error) { return RunRegistered("fig3", cfg) }
-
-// RunFig4 reproduces Fig 4 (see the "fig4" scenario registration).
-func RunFig4(cfg Config) (Figure, error) { return RunRegistered("fig4", cfg) }
-
-// RunFig5 reproduces Fig 5 (see the "fig5" scenario registration).
-func RunFig5(cfg Config) (Figure, error) { return RunRegistered("fig5", cfg) }
-
-// RunFig6 reproduces Fig 6 (see the "fig6" scenario registration).
-func RunFig6(cfg Config) (Figure, error) { return RunRegistered("fig6", cfg) }
-
-// RunFig6Large runs the excluded Large instance of the Cassandra experiment
-// (see the "fig6-large" scenario registration).
-func RunFig6Large(cfg Config) (Figure, error) { return RunRegistered("fig6-large", cfg) }
-
-// RunFig7 reproduces Fig 7 (see the "fig7" scenario registration).
-func RunFig7(cfg Config) (Figure, error) { return RunRegistered("fig7", cfg) }
-
-// RunFig8 reproduces Fig 8 (see the "fig8" scenario registration).
-func RunFig8(cfg Config) (Figure, error) { return RunRegistered("fig8", cfg) }
-
 // RunFigure dispatches by figure number 3..8 through the scenario registry.
 func RunFigure(n int, cfg Config) (Figure, error) {
-	if n < 3 || n > 8 {
-		return Figure{}, fmt.Errorf("experiments: no figure %d (have 3..8)", n)
+	sc, err := figureScenario(n)
+	if err != nil {
+		return Figure{}, err
 	}
-	return RunRegistered(fmt.Sprintf("fig%d", n), cfg)
+	return RunScenario(cfg, sc)
+}
+
+// figureScenario looks up the registered scenario of paper figure n.
+func figureScenario(n int) (Scenario, error) {
+	if n < 3 || n > 8 {
+		return Scenario{}, fmt.Errorf("experiments: no figure %d (have 3..8)", n)
+	}
+	name := fmt.Sprintf("fig%d", n)
+	sc, ok := ScenarioByName(name)
+	if !ok {
+		return Scenario{}, UnknownScenarioError(name)
+	}
+	return sc, nil
 }
 
 // CHRBand is the §IV-A result for one application class: the CHR range in
@@ -75,35 +56,24 @@ func RunCHRSweep(cfg Config) ([]CHRBand, error) {
 	cfg = cfg.withDefaults()
 	warnMemoMutateHost(cfg)
 	reps := cfg.reps(5)
-	type app struct {
-		name      string
-		mk        func(it InstanceType) workload.Workload
-		last      string
-		threshold float64
-		pLow      float64
-		pHigh     float64
+	apps := []struct {
+		name, driver, first, last string
+		threshold, pLow, pHigh    float64
+	}{
+		{"FFmpeg", "ffmpeg", "Large", "4xLarge", 1.10, 0.07, 0.14},
+		{"WordPress", "wordpress", "xLarge", "16xLarge", 1.25, 0.14, 0.28},
+		{"Cassandra", "cassandra", "xLarge", "16xLarge", 1.25, 0.28, 0.57},
 	}
-	apps := []app{
-		{"FFmpeg", func(InstanceType) workload.Workload { return transcodeFor(cfg, 1) }, "4xLarge", 1.10, 0.07, 0.14},
-		{"WordPress", func(InstanceType) workload.Workload {
-			w := workload.DefaultWeb()
-			if cfg.Quick {
-				w.Requests /= 4
-			}
-			return w
-		}, "16xLarge", 1.25, 0.14, 0.28},
-		{"Cassandra", func(InstanceType) workload.Workload {
-			return workload.DefaultNoSQL()
-		}, "16xLarge", 1.25, 0.28, 0.57},
-	}
+	kinds := []platform.Kind{platform.CN, platform.BM}
 	hostCPUs := float64(cfg.Host.NumCPUs())
 	var out []CHRBand
 	for ai, a := range apps {
-		first := "Large"
-		if a.name != "FFmpeg" {
-			first = "xLarge"
+		w, err := WorkloadSpec{Driver: a.driver}.Resolve(cfg.Quick)
+		if err != nil {
+			return nil, err
 		}
-		instances := Instances(first, a.last)
+		ws := []workload.Workload{w}
+		instances := Instances(a.first, a.last)
 		band := CHRBand{App: a.name, PaperLow: a.pLow, PaperHigh: a.pHigh}
 		prev := instances[0]
 		found := false
@@ -111,32 +81,20 @@ func RunCHRSweep(cfg Config) ([]CHRBand, error) {
 			// The outer size sweep is sequential by nature (it stops at the
 			// first size whose PSO is insignificant), but each step's
 			// kinds × reps block is an independent grid and fans out.
-			kinds := []platform.Kind{platform.CN, platform.BM}
-			results := make([]TrialResult, len(kinds)*reps)
-			err := forEachTrial(cfg, len(results), func(tc *TrialContext, i int) error {
-				kind, rep := kinds[i/reps], i%reps
-				seed := seedFor(cfg.Seed, 40, uint64(ai), uint64(ii), uint64(kind), uint64(rep))
+			cells := make([]gridCell, len(kinds))
+			seeds := make([]uint64, len(kinds)*reps)
+			for ki, kind := range kinds {
 				spec := platform.Spec{Kind: kind, Mode: platform.Vanilla, Cores: it.Cores}
-				r, err := runTrial(tc, cfg, cfg.Host, spec.Stack(), it.Cores,
-					[]workload.Workload{a.mk(it)}, it.MemGB, seed)
-				if err != nil {
-					return err
+				cells[ki] = gridCell{host: cfg.Host, stack: spec.Stack(), size: it.Cores, ws: ws, memGB: it.MemGB}
+				for rep := 0; rep < reps; rep++ {
+					seeds[ki*reps+rep] = seedFor(cfg.Seed, 40, uint64(ai), uint64(ii), uint64(kind), uint64(rep))
 				}
-				results[i] = r
-				return nil
-			})
+			}
+			outcomes, err := runGrid(cfg, cells, reps, seeds, nil)
 			if err != nil {
 				return nil, err
 			}
-			means := map[platform.Kind]float64{}
-			for ki, kind := range kinds {
-				var vals []float64
-				for rep := 0; rep < reps; rep++ {
-					vals = append(vals, results[ki*reps+rep].Metric)
-				}
-				means[kind] = stats.Summarize(vals).Mean
-			}
-			pso := means[platform.CN] / means[platform.BM]
+			pso := stats.Summarize(outcomes[0].vals).Mean / stats.Summarize(outcomes[1].vals).Mean
 			if pso < a.threshold {
 				band.LowCHR = float64(prev.Cores) / hostCPUs
 				band.HighCHR = float64(it.Cores) / hostCPUs

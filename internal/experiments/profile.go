@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/irqsim"
 	"repro/internal/machine"
@@ -15,7 +14,7 @@ import (
 // instruments (the paper's §III-A methodology: cpudist + offcputime while a
 // workload runs on a platform).
 type ProfileSpec struct {
-	// App is one of "ffmpeg", "mpi", "wordpress", "cassandra".
+	// App is a workload driver name or alias (workload.DriverNames).
 	App string
 	// Platform is one of "bm", "vm", "cn", "vmcn".
 	Platform string
@@ -37,82 +36,56 @@ type ProfileResult struct {
 	Channels []*irqsim.Channel
 }
 
-// ParsePlatform maps a CLI platform name to its Kind (one name-to-enum
-// mapping for the whole repo: platform.ParseKind).
-func ParsePlatform(s string) (platform.Kind, error) {
-	return platform.ParseKind(s)
-}
-
-// ParseMode maps a CLI mode name to its Mode (delegating to the repo-wide
-// mapping, platform.ParseMode; the empty string means vanilla).
-func ParseMode(s string) (platform.Mode, error) {
-	return platform.ParseMode(s)
-}
-
-// WorkloadFor returns the named application's default workload, scaled for
-// quick runs.
-func WorkloadFor(app string, cfg Config) (workload.Workload, error) {
-	switch strings.ToLower(app) {
-	case "ffmpeg":
-		return transcodeFor(cfg, 1), nil
-	case "mpi":
-		return workload.DefaultMPISearch(), nil
-	case "wordpress", "web":
-		w := workload.DefaultWeb()
-		if cfg.Quick {
-			w.Requests /= 4
-		}
-		return w, nil
-	case "cassandra", "nosql":
-		return workload.DefaultNoSQL(), nil
-	}
-	return nil, fmt.Errorf("experiments: unknown app %q (ffmpeg, mpi, wordpress, cassandra)", app)
-}
-
-// RunProfile deploys one platform, attaches the trace collector and runs the
-// workload to completion.
-func RunProfile(ps ProfileSpec, cfg Config) (*ProfileResult, error) {
-	cfg = cfg.withDefaults()
-	kind, err := ParsePlatform(ps.Platform)
+// resolve maps the spec's names onto the one-trial grid cell it profiles:
+// the deployment on cfg's host and the registry workload, scaled exactly as
+// the figure cells it explains.
+func (ps ProfileSpec) resolve(cfg Config) (gridCell, error) {
+	kind, err := platform.ParseKind(ps.Platform)
 	if err != nil {
-		return nil, err
+		return gridCell{}, err
 	}
-	mode, err := ParseMode(ps.Mode)
+	mode, err := platform.ParseMode(ps.Mode)
 	if err != nil {
-		return nil, err
+		return gridCell{}, err
 	}
 	it, ok := InstanceByName(ps.Size)
 	if !ok {
-		return nil, fmt.Errorf("experiments: unknown instance %q (Table II names)", ps.Size)
+		return gridCell{}, fmt.Errorf("experiments: unknown instance %q (Table II names)", ps.Size)
 	}
-	w, err := WorkloadFor(ps.App, cfg)
+	w, err := WorkloadSpec{Driver: ps.App}.Resolve(cfg.Quick)
+	if err != nil {
+		return gridCell{}, err
+	}
+	spec := platform.Spec{Kind: kind, Mode: mode, Cores: it.Cores}
+	return gridCell{host: cfg.Host, stack: spec.Stack(), size: it.Cores,
+		ws: []workload.Workload{w}, memGB: it.MemGB}, nil
+}
+
+// RunProfile runs one trial of the deployment with the trace collector
+// attached through the MutateHost seam — which also makes the trial build
+// fresh and bypass the trial store, since a traced run must simulate.
+func RunProfile(ps ProfileSpec, cfg Config) (*ProfileResult, error) {
+	cfg = cfg.withDefaults()
+	c, err := ps.resolve(cfg)
 	if err != nil {
 		return nil, err
 	}
 	col := trace.NewCollector(nil)
-	seed := seedFor(cfg.Seed, 70)
-	hostCfg := machine.HostDefaults(cfg.Host, seed)
-	if cfg.MutateHost != nil {
-		cfg.MutateHost(&hostCfg)
+	mutate := cfg.MutateHost
+	cfg.MutateHost = func(mc *machine.Config) {
+		if mutate != nil {
+			mutate(mc)
+		}
+		mc.Trace = col.Fn()
 	}
-	hostCfg.Trace = col.Fn()
-	spec := platform.Spec{Kind: kind, Mode: mode, Cores: it.Cores}
-	d, err := platform.Deploy(spec, hostCfg, *cfg.HV, seed)
+	r, m, err := runStack(nil, cfg, c.host, c.stack, c.size, c.ws, c.memGB, seedFor(cfg.Seed, 70))
 	if err != nil {
 		return nil, err
-	}
-	env := workload.EnvFor(d.M, d.Group, d.Affinity, spec.Cores)
-	env.MemGB = it.MemGB
-	inst := w.Spawn(env)
-	res := d.M.Run(cfg.TimeLimit)
-	secs := inst.Metric(res)
-	if res.TimedOut {
-		secs = cfg.TimeLimit.Seconds()
 	}
 	return &ProfileResult{
 		Spec:       ps,
 		Collector:  col,
-		MetricSecs: secs,
-		Channels:   d.M.IRQ.Channels(),
+		MetricSecs: r.Metric,
+		Channels:   m.IRQ.Channels(),
 	}, nil
 }

@@ -2,45 +2,42 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
-	"repro/internal/platform"
 	"repro/internal/sched"
 )
 
-func TestParsePlatformAndMode(t *testing.T) {
-	for s, want := range map[string]platform.Kind{
-		"bm": platform.BM, "VM": platform.VM, "cn": platform.CN, "VMCN": platform.VMCN,
-	} {
-		got, err := ParsePlatform(s)
-		if err != nil || got != want {
-			t.Fatalf("ParsePlatform(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParsePlatform("xen"); err == nil {
-		t.Fatal("unknown platform")
-	}
-	if m, err := ParseMode(""); err != nil || m != platform.Vanilla {
-		t.Fatal("empty mode defaults to vanilla")
-	}
-	if m, err := ParseMode("Pinned"); err != nil || m != platform.Pinned {
-		t.Fatal("pinned mode")
-	}
-	if _, err := ParseMode("floating"); err == nil {
-		t.Fatal("unknown mode")
-	}
-}
-
-func TestWorkloadForNames(t *testing.T) {
-	cfg := Config{Quick: true}.withDefaults()
-	for _, app := range []string{"ffmpeg", "mpi", "wordpress", "web", "cassandra", "nosql"} {
-		if _, err := WorkloadFor(app, cfg); err != nil {
+// TestProfileAppNames: the profiled app resolves through the workload
+// registry, so every driver name and alias works and unknown names fail.
+func TestProfileAppNames(t *testing.T) {
+	for _, app := range []string{"ffmpeg", "transcode", "mpi", "openmpi", "wordpress", "web",
+		"cassandra", "nosql", "microservice", "rpc"} {
+		ps := ProfileSpec{App: app, Platform: "cn", Mode: "vanilla", Size: "xLarge"}
+		if _, err := ps.resolve(Config{Quick: true}); err != nil {
 			t.Fatalf("%s: %v", app, err)
 		}
 	}
-	if _, err := WorkloadFor("redis", cfg); err == nil {
+	if _, err := (ProfileSpec{App: "redis", Platform: "cn", Size: "xLarge"}).resolve(Config{Quick: true}); err == nil {
 		t.Fatal("unknown app")
+	}
+}
+
+// TestProfileMPIQuickMatchesFigureCell: a quick profile runs the same
+// workload as the quick fig4 cells it explains — the registry's Quick
+// scaling, not the full-size job.
+func TestProfileMPIQuickMatchesFigureCell(t *testing.T) {
+	c, err := ProfileSpec{App: "mpi", Platform: "cn", Mode: "vanilla", Size: "xLarge"}.resolve(Config{Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := WorkloadSpec{Driver: "mpi"}.Resolve(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.ws) != 1 || !reflect.DeepEqual(c.ws[0], want) {
+		t.Fatalf("quick mpi profile workloads %+v, want the fig4 quick cell's %+v", c.ws, want)
 	}
 }
 

@@ -33,15 +33,68 @@ type TrialResult struct {
 
 // forEachTrial executes run(0..n-1) through the configured executor and
 // reports the first (lowest-index) error. The default is Pool{Workers:
-// cfg.Workers} — the atomic-claim worker fan-out, degrading to the legacy
-// serial loop at Workers 1. cfg.Progress, when set, is observed after
-// every completed trial.
+// cfg.Workers} — the atomic-claim worker fan-out, running on the calling
+// goroutine at Workers 1. cfg.Progress, when set, is observed after every
+// completed trial.
 func forEachTrial(cfg Config, n int, run func(tc *TrialContext, i int) error) error {
 	ex := cfg.Executor
 	if ex == nil {
 		ex = Pool{Workers: cfg.Workers}
 	}
 	return ex.Execute(n, run, cfg.Progress)
+}
+
+// gridCell is one resolved cell of a trial grid: each of its repetitions
+// deploys stack at size on host and runs ws (one workload shared by every
+// tenant slot, or exactly one per slot) with memGB of instance memory.
+type gridCell struct {
+	host  *topology.Topology
+	stack platform.Stack
+	size  int
+	ws    []workload.Workload
+	memGB int
+}
+
+// cellOutcome is one grid cell's repetitions: every metric in repetition
+// order and the last repetition's overhead breakdown.
+type cellOutcome struct {
+	vals []float64
+	bd   sched.Breakdown
+}
+
+// runGrid is the one trial loop behind every experiment. Trial i is
+// repetition i%reps of cells[i/reps], seeded seeds[i]; callers derive the
+// seeds (grid coordinates, cell content, ...) and aggregate the outcomes
+// their own way. wrap, when non-nil, labels a failing trial's error with
+// its cell index. The per-trial closure allocates nothing: cells, seeds
+// and result slots are all resolved before the fan-out.
+func runGrid(cfg Config, cells []gridCell, reps int, seeds []uint64, wrap func(ci int, err error) error) ([]cellOutcome, error) {
+	results := make([]TrialResult, len(cells)*reps)
+	err := forEachTrial(cfg, len(results), func(tc *TrialContext, i int) error {
+		c := &cells[i/reps]
+		r, err := runTrial(tc, cfg, c.host, c.stack, c.size, c.ws, c.memGB, seeds[i])
+		if err != nil {
+			if wrap != nil {
+				return wrap(i/reps, err)
+			}
+			return err
+		}
+		results[i] = r
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	vals := make([]float64, len(results))
+	for i, r := range results {
+		vals[i] = r.Metric
+	}
+	out := make([]cellOutcome, len(cells))
+	for ci := range out {
+		lo, hi := ci*reps, (ci+1)*reps
+		out[ci] = cellOutcome{vals: vals[lo:hi:hi], bd: results[hi-1].Breakdown}
+	}
+	return out, nil
 }
 
 // runTrial is runStack behind the trial store: on a hit the simulation is
@@ -51,16 +104,13 @@ func forEachTrial(cfg Config, n int, run func(tc *TrialContext, i int) error) er
 // be fingerprinted.
 func runTrial(tc *TrialContext, cfg Config, host *topology.Topology, stack platform.Stack, size int, ws []workload.Workload, memGB int, seed uint64) (TrialResult, error) {
 	if cfg.Memo == nil || cfg.MutateHost != nil {
-		v, bd, err := runStack(tc, cfg, host, stack, size, ws, memGB, seed)
-		return TrialResult{Metric: v, Breakdown: bd}, err
+		r, _, err := runStack(tc, cfg, host, stack, size, ws, memGB, seed)
+		return r, err
 	}
 	key := trialKey(cfg, host, stack, size, ws, memGB, seed)
 	return cfg.Memo.GetOrCompute(key, func() (TrialResult, error) {
-		v, bd, err := runStack(tc, cfg, host, stack, size, ws, memGB, seed)
-		if err != nil {
-			return TrialResult{}, err
-		}
-		return TrialResult{Metric: v, Breakdown: bd}, nil
+		r, _, err := runStack(tc, cfg, host, stack, size, ws, memGB, seed)
+		return r, err
 	})
 }
 

@@ -115,14 +115,14 @@ func TestParallelFiguresMatchSerial(t *testing.T) {
 // a figure from a warm memo must reproduce the simulated figure exactly.
 func TestMemoizedFigureMatchesUnmemoized(t *testing.T) {
 	base := Config{Quick: true, Reps: 2, Seed: 99, Workers: 1}
-	plain, err := RunFig3(base)
+	plain, err := RunFigure(3, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	memo := NewTrialMemo()
 	withMemo := base
 	withMemo.Memo = memo
-	first, err := RunFig3(withMemo)
+	first, err := RunFigure(3, withMemo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestMemoizedFigureMatchesUnmemoized(t *testing.T) {
 	if misses == 0 {
 		t.Fatal("cold memo must miss")
 	}
-	second, err := RunFig3(withMemo)
+	second, err := RunFigure(3, withMemo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestMemoizedFigureMatchesUnmemoized(t *testing.T) {
 // GOMAXPROCS-fold speedup (trials are embarrassingly parallel).
 func BenchmarkQuickFig3Serial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := RunFig3(Config{Quick: true, Reps: 2, Seed: 1234, Workers: 1}); err != nil {
+		if _, err := RunFigure(3, Config{Quick: true, Reps: 2, Seed: 1234, Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -158,7 +158,7 @@ func BenchmarkQuickFig3Serial(b *testing.B) {
 // pair isolates what arena rewinding saves.
 func BenchmarkQuickFig3SerialNoReuse(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := RunFig3(Config{Quick: true, Reps: 2, Seed: 1234, Workers: 1, NoReuse: true}); err != nil {
+		if _, err := RunFigure(3, Config{Quick: true, Reps: 2, Seed: 1234, Workers: 1, NoReuse: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -168,7 +168,7 @@ func BenchmarkQuickFig3SerialNoReuse(b *testing.B) {
 // adds on top of raw trial execution for one figure run: registry lookup,
 // defaulting, validation, per-cell workload resolution (JSON overlay
 // included) and the spec fingerprint. The trials themselves are identical
-// either way (RunFigN is RunRegistered now), so this — not a second full
+// either way (every figure is a registered scenario), so this — not a second full
 // figure run — is the dispatch overhead. The CI gate asserts it stays
 // under 5% of the same-run QuickFig3Serial figure time (benchjson
 // -fraction), which both proves the "<5% dispatch tax" claim structurally
@@ -200,7 +200,7 @@ func BenchmarkScenarioDispatch(b *testing.B) {
 
 func BenchmarkQuickFig3Parallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := RunFig3(Config{Quick: true, Reps: 2, Seed: 1234, Workers: 0}); err != nil {
+		if _, err := RunFigure(3, Config{Quick: true, Reps: 2, Seed: 1234, Workers: 0}); err != nil {
 			b.Fatal(err)
 		}
 	}

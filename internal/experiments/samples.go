@@ -5,21 +5,36 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/workload"
 )
 
-// FigureClass maps the paper's figures to their application class.
-func FigureClass(n int) (core.AppClass, error) {
-	switch n {
-	case 3, 7, 8:
+// FigureClass maps a scenario onto the paper's application taxonomy
+// (Table I) by its workload driver: the scenario's default workload, else
+// the first cell that names one. The model fit and the advisor's
+// recommendation both classify through it.
+func FigureClass(sc Scenario) (core.AppClass, error) {
+	ws := sc.Workload
+	for i := 0; ws == nil && i < len(sc.Cells); i++ {
+		ws = sc.Cells[i].Workload
+	}
+	if ws == nil {
+		return 0, fmt.Errorf("scenario has no workload to classify")
+	}
+	name, err := workload.CanonicalDriver(ws.Driver)
+	if err != nil {
+		return 0, err
+	}
+	switch name {
+	case "ffmpeg":
 		return core.CPUBound, nil
-	case 4:
+	case "mpi":
 		return core.Parallel, nil
-	case 5:
+	case "wordpress", "microservice":
 		return core.IOBound, nil
-	case 6:
+	case "cassandra":
 		return core.UltraIOBound, nil
 	}
-	return 0, fmt.Errorf("experiments: no class for figure %d", n)
+	return 0, fmt.Errorf("no application class for driver %q", name)
 }
 
 // FigureSamples converts one regenerated figure into overhead samples for
@@ -70,11 +85,15 @@ func FitModel(figs []int, cfg Config) (*model.Model, error) {
 	cfg = cfg.withDefaults()
 	var samples []model.Sample
 	for _, n := range figs {
-		class, err := FigureClass(n)
+		sc, err := figureScenario(n)
 		if err != nil {
 			return nil, err
 		}
-		f, err := RunFigure(n, cfg)
+		class, err := FigureClass(sc)
+		if err != nil {
+			return nil, err
+		}
+		f, err := RunScenario(cfg, sc)
 		if err != nil {
 			return nil, err
 		}

@@ -35,16 +35,28 @@ func TestFigureSamplesExtraction(t *testing.T) {
 }
 
 func TestFigureClassMapping(t *testing.T) {
-	for n, want := range map[int]core.AppClass{
-		3: core.CPUBound, 4: core.Parallel, 5: core.IOBound, 6: core.UltraIOBound,
+	for name, want := range map[string]core.AppClass{
+		"fig3": core.CPUBound, "fig4": core.Parallel, "fig5": core.IOBound, "fig6": core.UltraIOBound,
+		"fig7": core.CPUBound, "fig8": core.CPUBound, "net": core.IOBound,
 	} {
-		got, err := FigureClass(n)
+		sc, ok := ScenarioByName(name)
+		if !ok {
+			t.Fatalf("%s not registered", name)
+		}
+		got, err := FigureClass(sc)
 		if err != nil || got != want {
-			t.Fatalf("figure %d: %v, %v", n, got, err)
+			t.Fatalf("%s: %v, %v", name, got, err)
 		}
 	}
-	if _, err := FigureClass(9); err == nil {
-		t.Fatal("unknown figure")
+	// Aliases classify like their canonical driver.
+	if got, err := FigureClass(Scenario{Workload: &WorkloadSpec{Driver: "nosql"}}); err != nil || got != core.UltraIOBound {
+		t.Fatalf("nosql alias: %v, %v", got, err)
+	}
+	if _, err := FigureClass(Scenario{Cells: []ScenarioCell{{Label: "x", Cores: 2}}}); err == nil {
+		t.Fatal("a scenario without a workload has no class")
+	}
+	if _, err := FigureClass(Scenario{Workload: &WorkloadSpec{Driver: "redis"}}); err == nil {
+		t.Fatal("unknown driver")
 	}
 }
 

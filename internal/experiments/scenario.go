@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/platform"
-	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -355,13 +354,24 @@ func RunScenario(cfg Config, sc Scenario) (Figure, error) {
 	}
 	reps := cfg.reps(sc.Reps)
 
-	// Resolve every cell's host and workload once, up front.
-	type cellPlan struct {
-		host  *topology.Topology
-		memGB int
-		w     workload.Workload
+	// Per-series resolved stacks and tenant workload overrides.
+	stacks := make([]platform.Stack, len(sc.Series))
+	tenantWs := make([][]workload.Workload, len(sc.Series))
+	for si, se := range sc.Series {
+		stacks[si] = se.stack()
+		for _, tw := range se.TenantWorkloads {
+			w, err := tw.Resolve(cfg.Quick)
+			if err != nil {
+				return Figure{}, err
+			}
+			tenantWs[si] = append(tenantWs[si], w)
+		}
 	}
-	plans := make([]cellPlan, len(sc.Cells))
+	// The grid is series-outermost: cell si*nC+ci is series si at x-point
+	// ci. Its tenant workload list is the series' overrides by position,
+	// the x-point's workload for the rest.
+	nC := len(sc.Cells)
+	cells := make([]gridCell, len(sc.Series)*nC)
 	for ci, c := range sc.Cells {
 		host, err := HostByName(c.Host)
 		if err != nil {
@@ -378,37 +388,31 @@ func RunScenario(cfg Config, sc Scenario) (Figure, error) {
 		if err != nil {
 			return Figure{}, err
 		}
-		plans[ci] = cellPlan{host: host, memGB: c.MemGB, w: w}
-	}
-	// Per-series resolved stacks and tenant workload overrides.
-	stacks := make([]platform.Stack, len(sc.Series))
-	tenantWs := make([][]workload.Workload, len(sc.Series))
-	for si, se := range sc.Series {
-		stacks[si] = se.stack()
-		for _, tw := range se.TenantWorkloads {
-			w, err := tw.Resolve(cfg.Quick)
-			if err != nil {
-				return Figure{}, err
+		for si := range sc.Series {
+			wl := make([]workload.Workload, max(1, len(stacks[si].Tenants)))
+			for t := range wl {
+				if t < len(tenantWs[si]) {
+					wl[t] = tenantWs[si][t]
+				} else {
+					wl[t] = w
+				}
 			}
-			tenantWs[si] = append(tenantWs[si], w)
+			cells[si*nC+ci] = gridCell{host: host, stack: stacks[si], size: c.Cores, ws: wl, memGB: c.MemGB}
 		}
 	}
-	// workloadsFor assembles the per-tenant workload list of one trial:
-	// tenant overrides by position, the cell workload for the rest.
-	workloadsFor := func(si, ci int) []workload.Workload {
-		n := len(stacks[si].Tenants)
-		if n == 0 {
-			n = 1
-		}
-		out := make([]workload.Workload, n)
-		for t := 0; t < n; t++ {
-			if t < len(tenantWs[si]) {
-				out[t] = tenantWs[si][t]
-			} else {
-				out[t] = plans[ci].w
-			}
-		}
-		return out
+	seeds := make([]uint64, len(cells)*reps)
+	parts := make([]uint64, 0, len(sc.SeedTag)+3)
+	for i := range seeds {
+		si, ci, rep := i/(nC*reps), i/reps%nC, i%reps
+		parts = append(parts[:0], sc.SeedTag...)
+		parts = append(parts, uint64(si), uint64(ci), uint64(rep))
+		seeds[i] = seedFor(cfg.Seed, parts...)
+	}
+	outcomes, err := runGrid(cfg, cells, reps, seeds, func(i int, err error) error {
+		return fmt.Errorf("%s %s %s: %w", sc.Name, sc.Series[i/nC].Label, sc.Cells[i%nC].Label, err)
+	})
+	if err != nil {
+		return Figure{}, err
 	}
 
 	fig := Figure{
@@ -425,56 +429,14 @@ func RunScenario(cfg Config, sc Scenario) (Figure, error) {
 		if sc.Baseline != "" && se.Label == sc.Baseline {
 			fig.BaselineIdx = si
 		}
-	}
-
-	nC := len(sc.Cells)
-	results := make([]TrialResult, len(sc.Series)*nC*reps)
-	// Tenant workload lists depend only on (series, cell) and seeds are a
-	// pure derivation, so both are precomputed outside the trial fan-out:
-	// the per-trial closure itself then allocates nothing.
-	wlists := make([][]workload.Workload, len(sc.Series)*nC)
-	for si := range sc.Series {
-		for ci := range sc.Cells {
-			wlists[si*nC+ci] = workloadsFor(si, ci)
-		}
-	}
-	seeds := make([]uint64, len(results))
-	parts := make([]uint64, 0, len(sc.SeedTag)+3)
-	for i := range seeds {
-		si, ci, rep := i/(nC*reps), i/reps%nC, i%reps
-		parts = append(parts[:0], sc.SeedTag...)
-		parts = append(parts, uint64(si), uint64(ci), uint64(rep))
-		seeds[i] = seedFor(cfg.Seed, parts...)
-	}
-	err := forEachTrial(cfg, len(results), func(tc *TrialContext, i int) error {
-		si, ci := i/(nC*reps), i/reps%nC
-		r, err := runTrial(tc, cfg, plans[ci].host, stacks[si], sc.Cells[ci].Cores,
-			wlists[si*nC+ci], plans[ci].memGB, seeds[i])
-		if err != nil {
-			return fmt.Errorf("%s %s %s: %w", sc.Name, sc.Series[si].Label, sc.Cells[ci].Label, err)
-		}
-		results[i] = r
-		return nil
-	})
-	if err != nil {
-		return Figure{}, err
-	}
-
-	for si, se := range sc.Series {
 		sr := SeriesResult{Label: se.Label}
 		if se.Platform != nil {
 			sr.Spec = *se.Platform
 			sr.HasPlatform = true
 		}
 		for ci := range sc.Cells {
-			vals := make([]float64, 0, reps)
-			var bd sched.Breakdown
-			for rep := 0; rep < reps; rep++ {
-				r := results[(si*nC+ci)*reps+rep]
-				vals = append(vals, r.Metric)
-				bd = r.Breakdown // last repetition, as always
-			}
-			sr.Cells = append(sr.Cells, Cell{Summary: stats.Summarize(vals), Breakdown: bd})
+			o := outcomes[si*nC+ci]
+			sr.Cells = append(sr.Cells, Cell{Summary: stats.Summarize(o.vals), Breakdown: o.bd})
 		}
 		fig.Series = append(fig.Series, sr)
 	}

@@ -356,10 +356,10 @@ func TestMutateHostMemoWarning(t *testing.T) {
 	cfg := Config{Quick: true, Reps: 1, Seed: 3, Workers: 1,
 		Memo:       NewTrialMemo(),
 		MutateHost: func(*machine.Config) {}}
-	if _, err := RunFig8(cfg); err != nil {
+	if _, err := RunFigure(8, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunFig8(cfg); err != nil {
+	if _, err := RunFigure(8, cfg); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -27,33 +27,6 @@ import (
 // interval.
 const bootResamples = 1000
 
-// WorkloadNames are the workload classes a sweep can request, in Table I
-// order plus the §VI network extension. Each accepts the aliases the driver
-// registry lists (workload.CanonicalDriver).
-var WorkloadNames = []string{"ffmpeg", "mpi", "wordpress", "cassandra", "microservice"}
-
-// canonicalWorkload maps a workload name or alias to its canonical driver
-// name. Everything downstream of the user-typed string — cell identity,
-// seed derivation, memo keys — uses the canonical name, so "web" and
-// "wordpress" describe the same cell and share simulations.
-func canonicalWorkload(name string) (string, error) {
-	return workload.CanonicalDriver(name)
-}
-
-// workloadByName builds a named workload class with its default driver
-// parameters, applying the same Quick-mode scaling the corresponding
-// figure uses.
-func workloadByName(cfg Config, name string) (workload.Workload, error) {
-	d, err := workload.NewDriver(name)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Quick {
-		d = d.ScaleQuick()
-	}
-	return d, nil
-}
-
 // SweepSpec defines a sweep grid: the cross product of every non-empty
 // axis. The zero value of an axis falls back to a sensible default so
 // callers only name the axes they care about.
@@ -65,7 +38,10 @@ type SweepSpec struct {
 	// Cores are the instance sizes; each maps to a CHR point on the
 	// configured host (CHR = cores / host CPUs). Default: Table II's sizes.
 	Cores []int
-	// Workloads are workload-class names (see WorkloadNames). Default:
+	// Workloads are workload driver names or aliases
+	// (workload.DriverNames). Everything downstream — cell identity, seed
+	// derivation, memo keys — uses the canonical name, so "web" and
+	// "wordpress" describe the same cell and share simulations. Default:
 	// ffmpeg.
 	Workloads []string
 	// MemGB are instance memory sizes; 0 means the Table II sizing of
@@ -144,11 +120,10 @@ func Sweep(cfg Config, spec SweepSpec) (*SweepResult, error) {
 	warnMemoMutateHost(cfg)
 	spec = spec.withDefaults(cfg)
 
-	type cellPlan struct {
-		cell SweepCell
-		w    workload.Workload
-	}
-	var plan []cellPlan
+	var (
+		out   = &SweepResult{Spec: spec}
+		cells []gridCell
+	)
 	hostCPUs := cfg.Host.NumCPUs()
 	for _, p := range spec.Platforms {
 		for _, cores := range spec.Cores {
@@ -156,11 +131,11 @@ func Sweep(cfg Config, spec SweepSpec) (*SweepResult, error) {
 				return nil, fmt.Errorf("experiments: sweep cores must be positive, got %d", cores)
 			}
 			for _, wname := range spec.Workloads {
-				canon, err := canonicalWorkload(wname)
+				canon, err := workload.CanonicalDriver(wname)
 				if err != nil {
 					return nil, err
 				}
-				w, err := workloadByName(cfg, canon)
+				w, err := WorkloadSpec{Driver: canon}.Resolve(cfg.Quick)
 				if err != nil {
 					return nil, err
 				}
@@ -170,63 +145,52 @@ func Sweep(cfg Config, spec SweepSpec) (*SweepResult, error) {
 						memGB = 4 * cores
 					}
 					sp := platform.Spec{Kind: p.Kind, Mode: p.Mode, Cores: cores}
-					plan = append(plan, cellPlan{
-						cell: SweepCell{
-							Platform: sp.Label(),
-							Spec:     sp,
-							Workload: canon,
-							Cores:    cores,
-							MemGB:    memGB,
-							CHR:      float64(cores) / float64(hostCPUs),
-						},
-						w: w,
+					out.Cells = append(out.Cells, SweepCell{
+						Platform: sp.Label(),
+						Spec:     sp,
+						Workload: canon,
+						Cores:    cores,
+						MemGB:    memGB,
+						CHR:      float64(cores) / float64(hostCPUs),
 					})
+					cells = append(cells, gridCell{host: cfg.Host, stack: sp.Stack(), size: cores,
+						ws: []workload.Workload{w}, memGB: memGB})
 				}
 			}
 		}
 	}
 
 	reps := spec.Reps
-	results := make([]TrialResult, len(plan)*reps)
-	err := forEachTrial(cfg, len(results), func(tc *TrialContext, i int) error {
-		pc, rep := plan[i/reps], i%reps
+	seeds := make([]uint64, len(cells)*reps)
+	for i := range seeds {
+		c := &out.Cells[i/reps]
 		// Content-derived seed: a cell draws the same substream in every
 		// sweep that contains it, which is what lets a shared memo skip it.
-		seed := seedFor(cfg.Seed, 0x53_57, // "SW": keeps sweeps decorrelated from figures
-			uint64(pc.cell.Spec.Kind), uint64(pc.cell.Spec.Mode),
-			uint64(pc.cell.Cores), uint64(pc.cell.MemGB),
-			workloadTag(pc.cell.Workload), uint64(rep))
-		r, err := runTrial(tc, cfg, cfg.Host, pc.cell.Spec.Stack(), pc.cell.Cores,
-			[]workload.Workload{pc.w}, pc.cell.MemGB, seed)
-		if err != nil {
-			return fmt.Errorf("sweep %s %s %dc/%dGB: %w",
-				pc.cell.Platform, pc.cell.Workload, pc.cell.Cores, pc.cell.MemGB, err)
-		}
-		results[i] = r
-		return nil
+		seeds[i] = seedFor(cfg.Seed, 0x53_57, // "SW": keeps sweeps decorrelated from figures
+			uint64(c.Spec.Kind), uint64(c.Spec.Mode),
+			uint64(c.Cores), uint64(c.MemGB),
+			workloadTag(c.Workload), uint64(i%reps))
+	}
+	outcomes, err := runGrid(cfg, cells, reps, seeds, func(ci int, err error) error {
+		c := &out.Cells[ci]
+		return fmt.Errorf("sweep %s %s %dc/%dGB: %w", c.Platform, c.Workload, c.Cores, c.MemGB, err)
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	out := &SweepResult{Spec: spec}
-	for ci, pc := range plan {
-		vals := make([]float64, 0, reps)
-		for rep := 0; rep < reps; rep++ {
-			r := results[ci*reps+rep]
-			vals = append(vals, r.Metric)
-			pc.cell.Breakdown = r.Breakdown
-		}
-		pc.cell.Summary = stats.Summarize(vals)
+	for ci, o := range outcomes {
+		c := &out.Cells[ci]
+		c.Summary = stats.Summarize(o.vals)
+		c.Breakdown = o.bd
 		// Content-derived bootstrap seed, for the same reason the trial
 		// seeds are content-derived: the same cell reports the same interval
 		// in every sweep that contains it.
 		bseed := seedFor(cfg.Seed, 0x42_53, // "BS": decorrelated from trial streams
-			uint64(pc.cell.Spec.Kind), uint64(pc.cell.Spec.Mode),
-			uint64(pc.cell.Cores), uint64(pc.cell.MemGB), workloadTag(pc.cell.Workload))
+			uint64(c.Spec.Kind), uint64(c.Spec.Mode),
+			uint64(c.Cores), uint64(c.MemGB), workloadTag(c.Workload))
 		rng := rand.New(rand.NewSource(int64(bseed & math.MaxInt64)))
-		pc.cell.BootCI = stats.BootstrapCI(vals, 0.95, bootResamples, rng)
-		out.Cells = append(out.Cells, pc.cell)
+		c.BootCI = stats.BootstrapCI(o.vals, 0.95, bootResamples, rng)
 	}
 	out.computeRatios()
 	return out, nil
@@ -269,7 +233,7 @@ func (r *SweepResult) computeRatios() {
 // Cell returns the sweep cell with the given coordinates (memGB 0 means the
 // 4 GB/core default; wname accepts the same aliases as SweepSpec).
 func (r *SweepResult) Cell(label, wname string, cores, memGB int) (SweepCell, bool) {
-	canon, err := canonicalWorkload(wname)
+	canon, err := workload.CanonicalDriver(wname)
 	if err != nil {
 		return SweepCell{}, false
 	}

@@ -66,7 +66,7 @@ func TestDeployStatsCountReuse(t *testing.T) {
 		t.Skip("runs a quick figure")
 	}
 	b0, r0 := DeployStats()
-	if _, err := RunFig3(Config{Seed: 7, Quick: true, Reps: 2, Workers: 1}); err != nil {
+	if _, err := RunFigure(3, Config{Seed: 7, Quick: true, Reps: 2, Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	built, reused := DeployStats()
@@ -78,7 +78,7 @@ func TestDeployStatsCountReuse(t *testing.T) {
 		t.Fatalf("built %d > reused %d: repetitions are not reusing their shape's arena", built, reused)
 	}
 	nr0, _ := DeployStats()
-	if _, err := RunFig3(Config{Seed: 7, Quick: true, Reps: 2, Workers: 1, NoReuse: true}); err != nil {
+	if _, err := RunFigure(3, Config{Seed: 7, Quick: true, Reps: 2, Workers: 1, NoReuse: true}); err != nil {
 		t.Fatal(err)
 	}
 	nrBuilt, nrReused := DeployStats()

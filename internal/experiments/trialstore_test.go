@@ -183,7 +183,7 @@ func TestStoreStatsLineFormat(t *testing.T) {
 // documented base prefix intact in front of them.
 func TestStoreStatsLineReuseCounters(t *testing.T) {
 	m := NewTrialMemo()
-	if _, err := RunFig3(Config{Quick: true, Reps: 2, Seed: 3, Workers: 1, Memo: m}); err != nil {
+	if _, err := RunFigure(3, Config{Quick: true, Reps: 2, Seed: 3, Workers: 1, Memo: m}); err != nil {
 		t.Fatal(err)
 	}
 	line := StoreStatsLine(m)

@@ -127,3 +127,26 @@ func TestEachPlatformRunsASmokeTask(t *testing.T) {
 		}
 	}
 }
+
+func TestParsePlatformAndMode(t *testing.T) {
+	for s, want := range map[string]Kind{
+		"bm": BM, "VM": VM, "cn": CN, "VMCN": VMCN,
+	} {
+		got, err := ParseKind(s)
+		if err != nil || got != want {
+			t.Fatalf("ParseKind(%q) = %v, %v", s, got, err)
+		}
+	}
+	if _, err := ParseKind("xen"); err == nil {
+		t.Fatal("unknown platform")
+	}
+	if m, err := ParseMode(""); err != nil || m != Vanilla {
+		t.Fatal("empty mode defaults to vanilla")
+	}
+	if m, err := ParseMode("Pinned"); err != nil || m != Pinned {
+		t.Fatal("pinned mode")
+	}
+	if _, err := ParseMode("floating"); err == nil {
+		t.Fatal("unknown mode")
+	}
+}

@@ -25,7 +25,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/model"
-	"repro/internal/workload"
 )
 
 // RunRequest is the POST /run body: a named registry scenario (optionally
@@ -163,38 +162,6 @@ type ChoiceJSON struct {
 	Predicted float64 `json:"predicted_overhead"`
 }
 
-// classForScenario maps the scenario's effective default workload driver to
-// the paper's application taxonomy (Table I) for the model fit.
-func classForScenario(sc experiments.Scenario) (core.AppClass, error) {
-	ws := sc.Workload
-	if ws == nil {
-		for _, c := range sc.Cells {
-			if c.Workload != nil {
-				ws = c.Workload
-				break
-			}
-		}
-	}
-	if ws == nil {
-		return 0, fmt.Errorf("scenario has no workload to classify")
-	}
-	name, err := workload.CanonicalDriver(ws.Driver)
-	if err != nil {
-		return 0, err
-	}
-	switch name {
-	case "ffmpeg":
-		return core.CPUBound, nil
-	case "mpi":
-		return core.Parallel, nil
-	case "wordpress", "microservice":
-		return core.IOBound, nil
-	case "cassandra":
-		return core.UltraIOBound, nil
-	}
-	return 0, fmt.Errorf("no application class for driver %q", name)
-}
-
 // buildResponse renders the figure (and, when asked, the per-request model
 // fit) into the deterministic response body. Recommendation failures are
 // reported in-band as a note: the figure itself is still useful, and a
@@ -239,7 +206,7 @@ func (s *Server) buildResponse(req RunRequest, sc experiments.Scenario, cfg expe
 // deployments for the requested size. Every failure mode returns a note
 // instead of an error — see buildResponse.
 func (s *Server) recommend(spec RecommendSpec, sc experiments.Scenario, fig experiments.Figure) (*RecommendationJSON, string) {
-	class, err := classForScenario(sc)
+	class, err := experiments.FigureClass(sc)
 	if err != nil {
 		return nil, err.Error()
 	}

@@ -154,7 +154,22 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeBody(w, "warm", body)
 		return
 	}
+	s.runCold(w, req, key)
+}
+
+// runCold answers a request that missed the response cache: it joins the
+// key's in-flight computation, or leads a new one.
+func (s *Server) runCold(w http.ResponseWriter, req RunRequest, key uint64) {
+	warm := false
 	body, shared, err := s.sf.Do(key, func() ([]byte, error) {
+		// The caller's cache miss can race the previous leader for this
+		// key: that leader publishes and leaves the flight, and this request
+		// leads a new one. Checking the cache again answers it without
+		// simulating the key twice.
+		if body, ok := s.resp.Get(key); ok {
+			warm = true
+			return body, nil
+		}
 		if !s.admit() {
 			return nil, errOverloaded
 		}
@@ -173,6 +188,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		} else {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
+	case warm:
+		s.warm.Add(1)
+		writeBody(w, "warm", body)
 	case shared:
 		s.coalesced.Add(1)
 		writeBody(w, "coalesced", body)

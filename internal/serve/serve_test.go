@@ -73,6 +73,41 @@ func TestRunColdThenWarm(t *testing.T) {
 	}
 }
 
+// TestLeaderRechecksPublishedResponse replays the cold-path race without
+// timing: a request that missed the response cache reaches the cold path
+// only after the previous leader for its key has published and left the
+// flight. Leading the new flight, it must answer from the cache — counted
+// warm — and never run the figure again.
+func TestLeaderRechecksPublishedResponse(t *testing.T) {
+	s := newTestServer(t, Options{})
+	var runs atomic.Int64
+	s.run = func(cfg experiments.Config, sc experiments.Scenario) (experiments.Figure, error) {
+		runs.Add(1)
+		return experiments.Figure{ID: sc.Name}, nil
+	}
+	const body = `{"name":"fig3"}`
+	first := post(t, s, body)
+	if first.Code != http.StatusOK || first.Header().Get(SourceHeader) != "simulated" {
+		t.Fatalf("first: %d source=%q", first.Code, first.Header().Get(SourceHeader))
+	}
+
+	req := RunRequest{Name: "fig3"}
+	w := httptest.NewRecorder()
+	s.runCold(w, req, req.key(s.cfg.Quick, s.cfg.Reps, s.cfg.Seed))
+	if w.Code != http.StatusOK || w.Header().Get(SourceHeader) != "warm" {
+		t.Fatalf("late leader: %d source=%q", w.Code, w.Header().Get(SourceHeader))
+	}
+	if !bytes.Equal(w.Body.Bytes(), first.Body.Bytes()) {
+		t.Fatal("late leader's body differs from the published one")
+	}
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("figure ran %d times, want 1", n)
+	}
+	if s.warm.Load() != 1 || s.simulated.Load() != 1 {
+		t.Fatalf("warm=%d simulated=%d, want 1/1", s.warm.Load(), s.simulated.Load())
+	}
+}
+
 // TestCoalescing is the tentpole invariant: N concurrent identical cold
 // requests run exactly one simulation — asserted both on the server's
 // counter and on the trial store's miss count (misses = trials actually

@@ -115,10 +115,9 @@ type (
 	// TrialExecutor is the pluggable trial-execution strategy behind
 	// ExperimentConfig.Executor.
 	TrialExecutor = experiments.Executor
-	// SerialExecutor runs every trial on the calling goroutine.
-	SerialExecutor = experiments.Serial
 	// PoolExecutor fans trials across an atomic-claim worker pool (the
-	// default, sized by ExperimentConfig.Workers).
+	// default, sized by ExperimentConfig.Workers; one worker runs every
+	// trial on the calling goroutine).
 	PoolExecutor = experiments.Pool
 	// ShardExecutor deterministically partitions every trial grid so one
 	// experiment can run across N machines whose durable stores are merged
