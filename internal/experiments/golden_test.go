@@ -26,7 +26,7 @@ func TestFigAllQuickMatchesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	// Workers: 1 pins the legacy serial path; TestFigAllQuickWorkerInvariant
+	// Workers: 1 pins the serial path; TestFigAllQuickWorkerInvariant
 	// covers the parallel runner at 2 and 8 workers against the same bytes.
 	cfg := Config{Seed: 42, Quick: true, Workers: 1}
 	for n := 3; n <= 8; n++ {

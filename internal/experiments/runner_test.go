@@ -93,7 +93,7 @@ func TestForEachTrialProgressReachesTotal(t *testing.T) {
 
 // TestParallelFiguresMatchSerial is the determinism contract of the
 // tentpole: every figure regenerated with a worker pool must be
-// cell-for-cell bit-identical to the legacy serial path.
+// cell-for-cell bit-identical to the serial (one-worker) path.
 func TestParallelFiguresMatchSerial(t *testing.T) {
 	for _, n := range []int{3, 7, 8} {
 		serial, err := RunFigure(n, Config{Quick: true, Reps: 2, Seed: 1234, Workers: 1})
